@@ -16,6 +16,17 @@ cargo build --release
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+echo "== stress: real-thread suites, 25 reruns, stop at the first failure =="
+# A race in a test that spawns real threads may pass once and fail the
+# next time; rerunning the suites makes such a flake fail here.
+for run in $(seq 1 25); do
+    echo "stress run ${run}/25"
+    cargo test -q -p datatap
+    cargo test -q -p stream
+    cargo test -q --test transport_threads
+    cargo test -q -p iocontainers threaded
+done
+
 echo "== clippy (workspace, all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

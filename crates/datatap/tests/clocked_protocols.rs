@@ -76,6 +76,11 @@ fn pause_after_clean_drain_still_succeeds_when_closed_late() {
     w.try_write(step(0)).unwrap();
     let w_pause = w.clone();
     let pauser = thread::spawn(move || w_pause.pause());
+    // Wait until the drain engages, so the receipt counts the queued step;
+    // it cannot finish before we pull, so this spin terminates.
+    while !w.is_paused() {
+        thread::yield_now();
+    }
     // Drain completes; the close arriving afterwards must not turn the
     // already-successful drain into an abort.
     let (m, _) = r.pull().unwrap();

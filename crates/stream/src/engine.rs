@@ -1201,6 +1201,11 @@ mod tests {
         }
         let w2 = w.clone();
         let pauser = std::thread::spawn(move || w2.pause());
+        // Wait until the drain engages, so the receipt counts the whole
+        // backlog; it cannot finish before we pull, so this spin ends.
+        while !w.is_paused() {
+            std::thread::yield_now();
+        }
         for _ in 0..3 {
             assert!(r.next_step().is_some());
         }
