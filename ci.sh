@@ -42,10 +42,10 @@ mkdir -p target/ci
 cargo xtask lint --format json --baseline SIMLINT_BASELINE.json > target/ci/simlint-findings.json
 echo "simlint: artifact at target/ci/simlint-findings.json"
 
-echo "== loom model check: datatap channel pause/resume protocol =="
-# Swaps the channel's mutex/condvar for the loom stand-in (bounded seeded
+echo "== loom model check: stream engine pause/resume protocol =="
+# Swaps the engine's mutex/condvar for the loom stand-in (bounded seeded
 # preemption search — failures are real, passes are probabilistic).
-RUSTFLAGS="--cfg loom" cargo test -q -p datatap --test loom_channel
+RUSTFLAGS="--cfg loom" cargo test -q -p stream --test loom_engine
 
 echo "== miri: sim-core + simpar + datatap + stream (undefined-behaviour pass) =="
 if [[ "${CI_SKIP_MIRI:-0}" == "1" ]]; then

@@ -4,26 +4,26 @@
 //! bulk data at a receiver. It buffers the payload locally, pushes a small
 //! *metadata* record, and the receiver *pulls* the payload when it is ready
 //! (over RDMA on the real machine). This keeps slow receivers from being
-//! overwhelmed and lets the receiver schedule pulls to manage interconnect
-//! contention.
+//! overwhelmed.
 //!
-//! [`Channel`] implements those semantics for the threaded runtime:
-//! bounded buffering with backpressure (a full buffer blocks the writer —
-//! the "application blocking" the paper's management exists to prevent),
-//! and a pause/resume protocol used by the container decrease operation:
-//! [`Writer::pause`] stops new announcements and blocks until every
-//! announced step has been pulled, so no time step can be lost while the
-//! downstream container is being resized.
+//! [`channel`] implements those semantics for the threaded runtime as a
+//! bounded MPMC staging queue: a full buffer blocks the writer (the
+//! "application blocking" the paper's management exists to prevent), and
+//! clones of a [`Writer`] share the buffer the way the ranks of an MPI
+//! component do. The queue accepts any step order, so it carries edges
+//! the step-streaming engine rejects: completed steps arriving out of
+//! order from several replicas, or one step index repeated per rank. The
+//! writer pause of the container decrease protocol lives in one place,
+//! the stream engine's `StepWriter::pause`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use adios::StepData;
-use simtel::{Category, Telemetry};
+use parking_lot::{Condvar, Mutex};
 
 use crate::clock::{to_sim, Clock, WallClock};
-use crate::sync::{Condvar, Mutex};
 
 /// Metadata announcing one buffered output step. Three plain words —
 /// `Copy`, so the per-message paths hand it around without cloning.
@@ -44,10 +44,6 @@ pub enum WriteError {
     QueueFull,
     /// The channel was closed by the reader side.
     Closed,
-    /// The writer is paused by a control action.
-    Paused,
-    /// The channel failed (endpoint crash injected via [`Writer::fail`]).
-    Failed(&'static str),
 }
 
 impl std::fmt::Display for WriteError {
@@ -55,73 +51,11 @@ impl std::fmt::Display for WriteError {
         match self {
             WriteError::QueueFull => write!(f, "staging queue full"),
             WriteError::Closed => write!(f, "channel closed"),
-            WriteError::Paused => write!(f, "writer paused"),
-            WriteError::Failed(reason) => write!(f, "channel failed: {reason}"),
         }
     }
 }
 
 impl std::error::Error for WriteError {}
-
-/// Why a checked pull returned no step. This is the typed surface for
-/// failed pulls: a reader blocked on a crashed endpoint gets
-/// [`PullError::Failed`] instead of hanging forever.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PullError {
-    /// The channel failed (endpoint crash injected via [`Writer::fail`]);
-    /// any payload buffered at the crashed writer is unrecoverable.
-    Failed(&'static str),
-    /// The channel was closed and the buffer fully drained.
-    Closed,
-    /// The deadline passed with no step available.
-    TimedOut,
-}
-
-impl std::fmt::Display for PullError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PullError::Failed(reason) => write!(f, "pull failed: {reason}"),
-            PullError::Closed => write!(f, "channel closed and drained"),
-            PullError::TimedOut => write!(f, "pull timed out"),
-        }
-    }
-}
-
-impl std::error::Error for PullError {}
-
-/// Why a [`Writer::pause`] drain was aborted before every announced step
-/// had been pulled. A decrease protocol that receives this must treat the
-/// drain as **failed** — steps may have been lost (`Failed`) or may still
-/// be in a buffer it can no longer observe (`Closed`) — instead of
-/// proceeding as if the channel quiesced cleanly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PauseAborted {
-    /// The reader side closed the channel mid-drain. `remaining` steps
-    /// were still buffered when the drain gave up (a closing reader may
-    /// still drain them, but the pauser can no longer wait for it).
-    Closed {
-        /// Steps still buffered when the drain aborted.
-        remaining: usize,
-    },
-    /// The channel failed mid-drain (endpoint crash); every step still
-    /// buffered at the crashed writer was discarded.
-    Failed(&'static str),
-}
-
-impl std::fmt::Display for PauseAborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PauseAborted::Closed { remaining } => {
-                write!(f, "pause aborted: channel closed with {remaining} steps undrained")
-            }
-            PauseAborted::Failed(reason) => {
-                write!(f, "pause aborted: channel failed: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PauseAborted {}
 
 struct Envelope {
     meta: StepMeta,
@@ -131,23 +65,7 @@ struct Envelope {
 struct State {
     queue: VecDeque<Envelope>,
     capacity: usize,
-    paused: bool,
-    /// Active [`Writer::pause`] drains. The write gate is held while this
-    /// is non-zero even if a concurrent [`Writer::resume`] cleared
-    /// `paused`: otherwise a resumed writer could refill the queue and
-    /// stall the pauser indefinitely.
-    drainers: usize,
     closed: bool,
-    failed: Option<&'static str>,
-    high_watermark: usize,
-}
-
-impl State {
-    /// True while writes must not be accepted: an explicit pause, or a
-    /// pause drain still in progress (which outlives a racing resume).
-    fn write_gated(&self) -> bool {
-        self.paused || self.drainers > 0
-    }
 }
 
 struct Inner {
@@ -155,21 +73,6 @@ struct Inner {
     writer_cv: Condvar,
     reader_cv: Condvar,
     clock: Arc<dyn Clock>,
-    telemetry: Telemetry,
-}
-
-impl Inner {
-    /// Records a queue-depth sample under [`Category::Transport`].
-    fn gauge_queued(&self, queued: usize) {
-        if self.telemetry.enabled(Category::Transport) {
-            self.telemetry.gauge(
-                Category::Transport,
-                "datatap.queued",
-                self.clock.now(),
-                queued as f64,
-            );
-        }
-    }
 }
 
 /// Creates a staged channel with a buffer of `capacity` steps, timing its
@@ -189,35 +92,16 @@ pub fn channel(capacity: usize) -> (Writer, Reader) {
 /// # Panics
 /// Panics if `capacity` is zero.
 pub fn channel_with_clock(capacity: usize, clock: Arc<dyn Clock>) -> (Writer, Reader) {
-    channel_with_telemetry(capacity, clock, Telemetry::disabled())
-}
-
-/// As [`channel_with_clock`], but recording flow through `telemetry`
-/// (announce/pull totals, queue-depth gauge, pause/resume markers — all
-/// under [`Category::Transport`]).
-///
-/// # Panics
-/// Panics if `capacity` is zero.
-pub fn channel_with_telemetry(
-    capacity: usize,
-    clock: Arc<dyn Clock>,
-    telemetry: Telemetry,
-) -> (Writer, Reader) {
     assert!(capacity > 0, "channel capacity must be positive");
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             queue: VecDeque::with_capacity(capacity),
             capacity,
-            paused: false,
-            drainers: 0,
             closed: false,
-            failed: None,
-            high_watermark: 0,
         }),
         writer_cv: Condvar::new(),
         reader_cv: Condvar::new(),
         clock,
-        telemetry,
     });
     (Writer { inner: inner.clone(), id: 0 }, Reader { inner })
 }
@@ -240,14 +124,8 @@ impl Writer {
     /// Attempts to buffer a step without blocking.
     pub fn try_write(&self, step: StepData) -> Result<StepMeta, WriteError> {
         let mut st = self.inner.state.lock();
-        if let Some(reason) = st.failed {
-            return Err(WriteError::Failed(reason));
-        }
         if st.closed {
             return Err(WriteError::Closed);
-        }
-        if st.write_gated() {
-            return Err(WriteError::Paused);
         }
         if st.queue.len() >= st.capacity {
             return Err(WriteError::QueueFull);
@@ -255,20 +133,16 @@ impl Writer {
         Ok(self.push(&mut st, step))
     }
 
-    /// Buffers a step, blocking while the buffer is full or the writer is
-    /// paused — this is the "application blocks on I/O" failure mode.
+    /// Buffers a step, blocking while the buffer is full — this is the
+    /// "application blocks on I/O" failure mode.
     pub fn write(&self, step: StepData) -> Result<StepMeta, WriteError> {
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(reason) = st.failed {
-                return Err(WriteError::Failed(reason));
-            }
             if st.closed {
                 return Err(WriteError::Closed);
             }
-            if !st.write_gated() && st.queue.len() < st.capacity {
-                let meta = self.push(&mut st, step);
-                return Ok(meta);
+            if st.queue.len() < st.capacity {
+                return Ok(self.push(&mut st, step));
             }
             self.inner.writer_cv.wait(&mut st);
         }
@@ -277,118 +151,8 @@ impl Writer {
     fn push(&self, st: &mut State, payload: StepData) -> StepMeta {
         let meta = StepMeta { step: payload.step(), bytes: payload.payload_bytes(), writer: self.id };
         st.queue.push_back(Envelope { meta, payload });
-        st.high_watermark = st.high_watermark.max(st.queue.len());
-        self.inner.telemetry.count(Category::Transport, "datatap.announced", 1);
-        self.inner.gauge_queued(st.queue.len());
         self.inner.reader_cv.notify_all();
         meta
-    }
-
-    /// Pauses the channel and blocks until every announced step has been
-    /// pulled. On success, returns the number of steps that had to drain.
-    ///
-    /// This is the consistency action the decrease protocol waits on; its
-    /// cost is what dominates Fig. 5. Because that protocol's "no step is
-    /// lost" guarantee rests on the drain actually completing, an aborted
-    /// drain is a typed error, never a success-shaped count:
-    /// [`PauseAborted::Failed`] if the channel failed mid-drain (buffered
-    /// steps were discarded), [`PauseAborted::Closed`] if the reader side
-    /// closed while steps were still buffered.
-    ///
-    /// The write gate engages before the drain starts and is held until
-    /// the drain finishes even if a concurrent [`Writer::resume`] clears
-    /// the paused flag mid-drain — a resumed writer cannot refill the
-    /// queue and stall the pauser. (After such a resume, the channel comes
-    /// out of the drain unpaused.)
-    pub fn pause(&self) -> Result<usize, PauseAborted> {
-        let mut st = self.inner.state.lock();
-        st.paused = true;
-        st.drainers += 1;
-        let draining = st.queue.len();
-        self.inner.telemetry.count(Category::Transport, "datatap.pauses", 1);
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "pause",
-                self.inner.clock.now(),
-            );
-        }
-        let outcome = loop {
-            // Failure first: fail() clears the queue, so an empty queue on
-            // a failed channel means steps were discarded, not drained.
-            if let Some(reason) = st.failed {
-                break Err(PauseAborted::Failed(reason));
-            }
-            if st.queue.is_empty() {
-                break Ok(draining);
-            }
-            if st.closed {
-                break Err(PauseAborted::Closed { remaining: st.queue.len() });
-            }
-            self.inner.writer_cv.wait(&mut st);
-        };
-        st.drainers -= 1;
-        if outcome.is_err() {
-            self.inner.telemetry.count(Category::Transport, "datatap.pause_aborts", 1);
-        }
-        if st.drainers == 0 && !st.paused {
-            // A resume arrived mid-drain: the gate opens only now that the
-            // drain is over, so wake the writers it was holding back.
-            self.inner.writer_cv.notify_all();
-        }
-        outcome
-    }
-
-    /// Resumes a paused channel. If a [`Writer::pause`] drain is still in
-    /// progress, the paused flag clears immediately but the write gate
-    /// stays held until that drain finishes.
-    pub fn resume(&self) {
-        let mut st = self.inner.state.lock();
-        st.paused = false;
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "resume",
-                self.inner.clock.now(),
-            );
-        }
-        self.inner.writer_cv.notify_all();
-    }
-
-    /// True if the channel currently rejects writes: explicitly paused, or
-    /// quiescing because a pause drain is still in progress.
-    pub fn is_paused(&self) -> bool {
-        self.inner.state.lock().write_gated()
-    }
-
-    /// Injects an endpoint failure: the channel enters the failed state,
-    /// every buffered-but-unpulled payload is discarded (it lived in the
-    /// crashed writer's memory and is unrecoverable), and all blocked
-    /// parties wake — writers fail with [`WriteError::Failed`], checked
-    /// pulls with [`PullError::Failed`], and plain pulls return `None`
-    /// instead of hanging. Returns the number of steps lost.
-    pub fn fail(&self, reason: &'static str) -> usize {
-        let mut st = self.inner.state.lock();
-        if st.failed.is_some() {
-            return 0;
-        }
-        st.failed = Some(reason);
-        let lost = st.queue.len();
-        st.queue.clear();
-        self.inner.telemetry.count(Category::Transport, "datatap.failed_steps", lost as u64);
-        if self.inner.telemetry.enabled(Category::Transport) {
-            self.inner.telemetry.mark(
-                Category::Transport,
-                "datatap",
-                "fail",
-                self.inner.clock.now(),
-            );
-        }
-        self.inner.writer_cv.notify_all();
-        self.inner.reader_cv.notify_all();
-        lost
     }
 }
 
@@ -403,56 +167,25 @@ impl Reader {
         self.inner.state.lock().queue.front().map(|e| e.meta)
     }
 
+    /// Pops the front step and wakes writers blocked on a full buffer.
+    fn take(&self, st: &mut State) -> Option<(StepMeta, StepData)> {
+        let env = st.queue.pop_front()?;
+        self.inner.writer_cv.notify_all();
+        Some((env.meta, env.payload))
+    }
+
     /// Pulls the next step, blocking until one is available. Returns `None`
-    /// once the channel is closed and drained, or once it has failed (use
-    /// [`Reader::pull_checked`] to distinguish — a failed pull surfaces as
-    /// a typed [`PullError::Failed`] rather than a silent hang).
+    /// once the channel is closed and drained.
     pub fn pull(&self) -> Option<(StepMeta, StepData)> {
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Some((env.meta, env.payload));
+            if let Some(out) = self.take(&mut st) {
+                return Some(out);
             }
-            if st.closed || st.failed.is_some() {
+            if st.closed {
                 return None;
             }
             self.inner.reader_cv.wait(&mut st);
-        }
-    }
-
-    /// Pulls the next step with a typed outcome: `Ok` with the step,
-    /// [`PullError::Failed`] if the channel's endpoint crashed (no hang),
-    /// [`PullError::Closed`] once closed and drained, or
-    /// [`PullError::TimedOut`] if `timeout` elapses first (measured on the
-    /// channel's [`Clock`]).
-    pub fn pull_checked(
-        &self,
-        timeout: Duration,
-    ) -> Result<(StepMeta, StepData), PullError> {
-        let deadline = self.inner.clock.now() + to_sim(timeout);
-        let mut st = self.inner.state.lock();
-        loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Ok((env.meta, env.payload));
-            }
-            if let Some(reason) = st.failed {
-                return Err(PullError::Failed(reason));
-            }
-            if st.closed {
-                return Err(PullError::Closed);
-            }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return Err(PullError::TimedOut);
-            }
-            let slice = self.inner.clock.block_slice(deadline.since(now));
-            self.inner.reader_cv.wait_for(&mut st, slice);
         }
     }
 
@@ -465,13 +198,10 @@ impl Reader {
         let deadline = self.inner.clock.now() + to_sim(timeout);
         let mut st = self.inner.state.lock();
         loop {
-            if let Some(env) = st.queue.pop_front() {
-                self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-                self.inner.gauge_queued(st.queue.len());
-                self.inner.writer_cv.notify_all();
-                return Some((env.meta, env.payload));
+            if let Some(out) = self.take(&mut st) {
+                return Some(out);
             }
-            if st.closed || st.failed.is_some() {
+            if st.closed {
                 return None;
             }
             let now = self.inner.clock.now();
@@ -486,32 +216,12 @@ impl Reader {
     /// Attempts a pull without blocking.
     pub fn try_pull(&self) -> Option<(StepMeta, StepData)> {
         let mut st = self.inner.state.lock();
-        let env = st.queue.pop_front()?;
-        self.inner.telemetry.count(Category::Transport, "datatap.pulled", 1);
-        self.inner.gauge_queued(st.queue.len());
-        self.inner.writer_cv.notify_all();
-        Some((env.meta, env.payload))
+        self.take(&mut st)
     }
 
     /// Steps currently buffered (announced but not yet pulled).
     pub fn queued(&self) -> usize {
         self.inner.state.lock().queue.len()
-    }
-
-    /// The deepest the buffer has ever been.
-    pub fn high_watermark(&self) -> usize {
-        self.inner.state.lock().high_watermark
-    }
-
-    /// The failure reason, if the channel's endpoint has crashed.
-    pub fn failure(&self) -> Option<&'static str> {
-        self.inner.state.lock().failed
-    }
-
-    /// The channel's time source (shared with wrappers like the
-    /// scheduled reader, so all deadlines live on one axis).
-    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
     }
 
     /// Closes the channel; blocked writers fail with
@@ -552,10 +262,13 @@ mod tests {
 
     #[test]
     fn try_write_reports_full() {
-        let (w, _r) = channel(2);
-        w.try_write(step(0)).unwrap();
-        w.try_write(step(1)).unwrap();
+        let (w, r) = channel(2);
+        // Any step order is accepted: one index repeated per rank, or
+        // completed steps arriving out of order.
+        w.try_write(step(5)).unwrap();
+        w.try_write(step(5)).unwrap();
         assert_eq!(w.try_write(step(2)).unwrap_err(), WriteError::QueueFull);
+        assert_eq!(r.queued(), 2);
     }
 
     #[test]
@@ -570,27 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_drains_announced_steps() {
-        let (w, r) = channel(8);
-        for i in 0..3 {
-            w.try_write(step(i)).unwrap();
-        }
-        let w2 = w.clone();
-        let pauser = thread::spawn(move || w2.pause());
-        // Drain from the reader side; pause must complete exactly when the
-        // queue empties.
-        thread::sleep(Duration::from_millis(20));
-        for _ in 0..3 {
-            r.pull().unwrap();
-        }
-        assert_eq!(pauser.join().unwrap(), Ok(3));
-        assert!(w.is_paused());
-        assert_eq!(w.try_write(step(9)).unwrap_err(), WriteError::Paused);
-        w.resume();
-        w.try_write(step(9)).unwrap();
-    }
-
-    #[test]
     fn close_unblocks_everyone() {
         let (w, r) = channel(1);
         w.try_write(step(0)).unwrap();
@@ -601,41 +293,6 @@ mod tests {
         // Buffered data is still drainable after close.
         assert!(r.pull().is_some());
         assert!(r.pull().is_none());
-    }
-
-    #[test]
-    fn telemetry_tracks_flow() {
-        use crate::clock::ManualClock;
-        use simtel::TelemetryConfig;
-        let tel = Telemetry::new(TelemetryConfig::all());
-        let clock = Arc::new(ManualClock::new());
-        let (w, r) = channel_with_telemetry(4, clock, tel.clone());
-        for i in 0..4 {
-            w.try_write(step(i)).unwrap();
-        }
-        r.pull().unwrap();
-        assert_eq!(tel.counter("datatap.announced"), 4);
-        assert_eq!(tel.counter("datatap.pulled"), 1);
-        assert_eq!(r.queued(), 3);
-        assert_eq!(r.high_watermark(), 4);
-        // The queue-depth gauge saw every transition: 1, 2, 3, 4, then 3.
-        let depths: Vec<f64> = tel.series("datatap.queued").iter().map(|(_, v)| *v).collect();
-        assert_eq!(depths, vec![1.0, 2.0, 3.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn telemetry_marks_pause_and_resume() {
-        use crate::clock::ManualClock;
-        use simtel::TelemetryConfig;
-        let tel = Telemetry::new(TelemetryConfig::all());
-        let clock = Arc::new(ManualClock::new());
-        let (w, _r) = channel_with_telemetry(2, clock, tel.clone());
-        assert_eq!(w.pause(), Ok(0)); // empty queue: returns immediately
-        w.resume();
-        assert_eq!(tel.counter("datatap.pauses"), 1);
-        let snap = tel.snapshot();
-        let marks: Vec<&str> = snap.markers.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(marks, vec!["pause", "resume"]);
     }
 
     #[test]
@@ -669,72 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn failed_channel_surfaces_typed_errors_instead_of_hanging() {
-        use crate::clock::ManualClock;
-        let clock = Arc::new(ManualClock::new());
-        let (w, r) = channel_with_clock(4, clock);
-        w.try_write(step(0)).unwrap();
-        w.try_write(step(1)).unwrap();
-        // A reader blocked in pull() when the endpoint dies must wake.
-        let w2 = w.clone();
-        let failer = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            w2.fail("bonds node kernel panic")
-        });
-        // Drain the two live steps first, then block.
-        assert!(r.pull().is_some());
-        assert!(r.pull().is_some());
-        assert!(r.pull().is_none(), "pull on a failed channel must return, not hang");
-        assert_eq!(failer.join().unwrap(), 0, "queue was drained before the crash");
-        // The typed surface names the reason.
-        assert_eq!(
-            r.pull_checked(Duration::from_secs(3600)).unwrap_err(),
-            PullError::Failed("bonds node kernel panic")
-        );
-        assert_eq!(r.failure(), Some("bonds node kernel panic"));
-        // Writers see the failure too.
-        assert_eq!(
-            w.try_write(step(2)).unwrap_err(),
-            WriteError::Failed("bonds node kernel panic")
-        );
-        assert_eq!(w.write(step(3)).unwrap_err(), WriteError::Failed("bonds node kernel panic"));
-    }
-
-    #[test]
-    fn fail_discards_buffered_payloads() {
-        let (w, r) = channel(4);
-        w.try_write(step(0)).unwrap();
-        w.try_write(step(1)).unwrap();
-        assert_eq!(w.fail("power loss"), 2);
-        // The crashed writer's buffered payloads are unrecoverable.
-        assert!(r.try_pull().is_none());
-        assert_eq!(r.queued(), 0);
-        // Failing twice is idempotent.
-        assert_eq!(w.fail("again"), 0);
-        assert_eq!(r.failure(), Some("power loss"));
-    }
-
-    #[test]
-    fn pull_checked_times_out_and_closes() {
-        use crate::clock::ManualClock;
-        let clock = Arc::new(ManualClock::new());
-        let (w, r) = channel_with_clock(2, clock);
-        assert_eq!(
-            r.pull_checked(Duration::from_millis(5)).unwrap_err(),
-            PullError::TimedOut
-        );
-        w.try_write(step(7)).unwrap();
-        assert_eq!(r.pull_checked(Duration::from_millis(5)).unwrap().0.step, 7);
-        r.close();
-        assert_eq!(r.pull_checked(Duration::from_millis(5)).unwrap_err(), PullError::Closed);
-    }
-
-    #[test]
     fn parallel_writers_share_buffer() {
         use crate::clock::ManualClock;
-        use simtel::TelemetryConfig;
-        let tel = Telemetry::new(TelemetryConfig::all());
-        let (w, r) = channel_with_telemetry(64, Arc::new(ManualClock::new()), tel.clone());
+        let (w, r) = channel_with_clock(64, Arc::new(ManualClock::new()));
         let mut handles = Vec::new();
         for wid in 0..4u32 {
             let w = w.with_id(wid);
@@ -744,15 +338,15 @@ mod tests {
                 }
             }));
         }
-        let mut pulled = 0;
-        while pulled < 64 {
-            r.pull().unwrap();
-            pulled += 1;
+        let mut per_writer = [0u32; 4];
+        for _ in 0..64 {
+            let (meta, _) = r.pull().unwrap();
+            per_writer[meta.writer as usize] += 1;
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(tel.counter("datatap.announced"), 64);
-        assert_eq!(tel.counter("datatap.pulled"), 64);
+        assert_eq!(per_writer, [16; 4]);
+        assert_eq!(r.queued(), 0);
     }
 }

@@ -111,7 +111,7 @@ pub(crate) fn to_sim(d: Duration) -> SimDuration {
 }
 
 /// Converts a simulation-domain remainder back into a std wait.
-pub(crate) fn to_std(d: SimDuration) -> Duration {
+fn to_std(d: SimDuration) -> Duration {
     Duration::from_nanos(d.as_nanos())
 }
 

@@ -8,16 +8,16 @@
 //!   ready ([`channel`]);
 //! * **bounded staging buffers** — a full buffer blocks the writer, which
 //!   is exactly the application-blocking failure container management
-//!   exists to prevent;
-//! * **writer pause/resume** — the consistency action the container
-//!   decrease protocol waits on ([`Writer::pause`] drains announced steps
-//!   so no time step is lost while a downstream container resizes);
-//! * **server-directed pull scheduling** — the receiver decides when pulls
-//!   happen ([`PullPolicy`]), DataStager's contention-avoidance mechanism.
+//!   exists to prevent.
 //!
-//! The threaded implementation here carries real [`adios::StepData`]
-//! payloads; [`TransportCosts`] supplies the calibrated software costs the
-//! discrete-event experiments charge for the same operations.
+//! The channel is a plain bounded MPMC queue: it carries the threaded
+//! runtime's edges whose step order the step-streaming engine (crate
+//! `stream`) would reject. The writer pause the container decrease
+//! protocol waits on is the engine's. [`TransportCosts`] supplies the
+//! calibrated software costs the discrete-event experiments charge for
+//! the same operations, including that pause's drain time, and
+//! [`Clock`] is the injectable time source both transports time their
+//! timeout paths against.
 //!
 //! ## Example
 //! ```
@@ -37,15 +37,7 @@
 mod channel;
 pub mod clock;
 mod cost;
-mod sched_reader;
-mod scheduler;
-mod sync;
 
-pub use channel::{
-    channel, channel_with_clock, channel_with_telemetry, PauseAborted, PullError, Reader,
-    StepMeta, WriteError, Writer,
-};
+pub use channel::{channel, channel_with_clock, Reader, StepMeta, WriteError, Writer};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use cost::TransportCosts;
-pub use sched_reader::{PullGuard, PullSource, ScheduledReader};
-pub use scheduler::PullPolicy;

@@ -9,7 +9,8 @@
 //! overlay; and a manager thread implements the round-robin *increase*
 //! operation for Bonds when its staging queue backs up. The CSym → CNA
 //! dynamic branch fires from the data itself: CSym detecting the crack
-//! retires and the router redirects subsequent steps to CNA.
+//! retires, forwarding the steps still queued for it to CNA, and the
+//! router redirects subsequent steps to CNA.
 //!
 //! The Helper → Bonds edge rides the step-streaming engine
 //! ([`stream::StreamEngine`]) rather than a raw staged channel: Helper is
@@ -24,9 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use datatap::{channel, PauseAborted};
+use datatap::channel;
 use evpath::{Action as EvAction, Event, Overlay};
-use stream::{Attach, StreamConfig, StreamEngine};
+use stream::{Attach, PauseAborted, StreamConfig, StreamEngine};
 use mdsim::{MdConfig, MdEngine};
 use sim_core::stats::Welford;
 use smartpointer::{split_snapshot, AggregationTree, Bonds, CSym, Cna};
@@ -160,7 +161,8 @@ pub struct ThreadedReport {
     pub mean_latency_s: [f64; 4],
     /// Monitoring events delivered to the global manager.
     pub monitor_events: u64,
-    /// FCC fraction reported by CNA's last step, if CNA ran.
+    /// FCC fraction CNA reported for the latest step it labeled, if CNA
+    /// ran.
     pub last_fcc_fraction: Option<f64>,
     /// Steps written to disk with provenance after Bonds went offline.
     pub offline_steps: u64,
@@ -178,9 +180,16 @@ struct Shared {
     bonds_offline: AtomicBool,
     offline_written: AtomicU64,
     router_done: AtomicBool,
+    /// Set once the router has seen the crack: it sends CSym nothing more.
+    csym_bypassed: AtomicBool,
+    /// Set once CSym has exited, after forwarding every step it held
+    /// past the break to CNA.
+    csym_done: AtomicBool,
     latency: [Mutex<Welford>; 4],
     actions: Mutex<Vec<ThreadedAction>>,
-    last_fcc: Mutex<Option<f64>>,
+    /// CNA's FCC fraction, keyed by the step it came from: forwarded
+    /// steps may reach CNA after later ones the router sent directly.
+    last_fcc: Mutex<Option<(u64, f64)>>,
     errors: Mutex<Vec<String>>,
 }
 
@@ -202,6 +211,8 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         bonds_offline: AtomicBool::new(false),
         offline_written: AtomicU64::new(0),
         router_done: AtomicBool::new(false),
+        csym_bypassed: AtomicBool::new(false),
+        csym_done: AtomicBool::new(false),
         latency: [
             Mutex::new(Welford::new()),
             Mutex::new(Welford::new()),
@@ -371,6 +382,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         // --- Router: implements the dynamic branch. ----------------------
         {
             let shared = shared.clone();
+            let w_cna = w_cna.clone();
             scope.spawn(move || {
                 let mut routed = 0u64;
                 while routed + shared.offline_written.load(Ordering::Acquire) < steps {
@@ -378,8 +390,12 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                     else {
                         continue;
                     };
-                    let target =
-                        if shared.crack.load(Ordering::Acquire) { &w_cna } else { &w_csym };
+                    let target = if shared.crack.load(Ordering::Acquire) {
+                        shared.csym_bypassed.store(true, Ordering::Release);
+                        &w_cna
+                    } else {
+                        &w_csym
+                    };
                     if target.write(step).is_err() {
                         break;
                     }
@@ -395,16 +411,29 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
             let shared = shared.clone();
             let monitor = monitor.clone();
             scope.spawn(move || {
+                let mut retired = false;
                 loop {
-                    let Some((_, step)) = r_csym.pull_timeout(Duration::from_millis(20))
-                    else {
-                        if shared.router_done.load(Ordering::Acquire)
-                            || shared.crack.load(Ordering::Acquire)
+                    let next = match r_csym.pull_timeout(Duration::from_millis(20)) {
+                        Some(item) => Some(item),
+                        // Nothing more can arrive once the router is done,
+                        // or routes around a retired CSym. The flag was
+                        // read after the empty pull, so look once more.
+                        None if shared.router_done.load(Ordering::Acquire)
+                            || (retired && shared.csym_bypassed.load(Ordering::Acquire)) =>
                         {
+                            r_csym.try_pull()
+                        }
+                        None => continue,
+                    };
+                    let Some((_, step)) = next else { break };
+                    if retired {
+                        // Past the break: steps queued before the router
+                        // saw the crack go on to CNA instead of being lost.
+                        if w_cna.write(step).is_err() {
                             break;
                         }
                         continue;
-                    };
+                    }
                     let t0 = Instant::now();
                     let Some(bonds) = codec::step_to_bonds(&step) else { continue };
                     let out = cfg.csym.compute(&bonds);
@@ -423,9 +452,10 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
                             .lock()
                             .unwrap()
                             .push(ThreadedAction::Branch { at_step: out.step });
-                        break;
+                        retired = true;
                     }
                 }
+                shared.csym_done.store(true, Ordering::Release);
             });
         }
 
@@ -436,17 +466,27 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
             let monitor = monitor.clone();
             scope.spawn(move || {
                 loop {
-                    let Some((_, step)) = r_cna.pull_timeout(Duration::from_millis(20))
-                    else {
-                        if shared.router_done.load(Ordering::Acquire) {
-                            break;
+                    let next = match r_cna.pull_timeout(Duration::from_millis(20)) {
+                        Some(item) => Some(item),
+                        // Both feeders done: look once more, since the
+                        // flags were read after the empty pull.
+                        None if shared.router_done.load(Ordering::Acquire)
+                            && shared.csym_done.load(Ordering::Acquire) =>
+                        {
+                            r_cna.try_pull()
                         }
-                        continue;
+                        None => continue,
                     };
+                    let Some((_, step)) = next else { break };
                     let t0 = Instant::now();
                     let Some(bonds) = codec::step_to_bonds(&step) else { continue };
                     let out = cfg.cna.compute(&bonds);
-                    *shared.last_fcc.lock().unwrap() = Some(out.fcc_fraction);
+                    {
+                        let mut last = shared.last_fcc.lock().unwrap();
+                        if last.is_none_or(|(at, _)| out.step >= at) {
+                            *last = Some((out.step, out.fcc_fraction));
+                        }
+                    }
                     observe(
                         &shared,
                         &monitor,
@@ -641,7 +681,7 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
         .crack
         .load(Ordering::Acquire)
         .then(|| shared.crack_step.load(Ordering::Acquire));
-    let last_fcc_fraction = *shared.last_fcc.lock().unwrap();
+    let last_fcc_fraction = shared.last_fcc.lock().unwrap().map(|(_, fcc)| fcc);
     let actions = std::mem::take(&mut *shared.actions.lock().unwrap());
     let mut errors = std::mem::take(&mut *shared.errors.lock().unwrap());
     if Arc::strong_count(&shared) != 1 {
@@ -697,6 +737,12 @@ mod tests {
         let crack = report.crack_detected_at.expect("crack must be detected");
         assert!((2..=5).contains(&crack), "crack at step {crack}");
         assert!(report.stage_steps[3] > 0, "cna must take over: {:?}", report.stage_steps);
+        assert_eq!(
+            report.stage_steps[2] + report.stage_steps[3],
+            report.stage_steps[1],
+            "steps queued for CSym at the break reach CNA: {:?}",
+            report.stage_steps
+        );
         assert!(report
             .actions
             .iter()
@@ -704,6 +750,42 @@ mod tests {
         // CNA labels the cracked crystal: fcc fraction below 1.
         let fcc = report.last_fcc_fraction.expect("cna ran");
         assert!(fcc < 1.0 && fcc > 0.3, "fcc fraction {fcc}");
+    }
+
+    #[test]
+    fn managed_crack_run_loses_no_step_at_the_branch() {
+        // The crack scenario with the manager on, a cheap MD (short
+        // cutoff) and four Bonds replicas, so CSym lags behind and its
+        // queue is full when it detects the break: every step in it must
+        // still be analysed.
+        let md = MdConfig {
+            cells: (8, 8, 8),
+            cutoff: 1.2,
+            temperature: 0.02,
+            strain_per_step: 0.002,
+            yield_strain: 0.03,
+            ..MdConfig::default()
+        };
+        let cfg = ThreadedConfig {
+            md,
+            steps: 24,
+            md_steps_per_epoch: 1,
+            initial_bonds_workers: 4,
+            max_bonds_workers: 4,
+            manage: true,
+            ..ThreadedConfig::default()
+        }
+        .with_kernel_threads(1);
+        let report = run_threaded(cfg);
+        assert!(report.crack_detected_at.is_some(), "crack must be detected");
+        assert_eq!(report.stage_steps[1], 24, "bonds steps");
+        assert_eq!(
+            report.stage_steps[2] + report.stage_steps[3],
+            report.stage_steps[1],
+            "no step lost at the CSym break: {:?}",
+            report.stage_steps
+        );
+        assert!(report.errors.is_empty(), "clean run: {:?}", report.errors);
     }
 
     #[test]

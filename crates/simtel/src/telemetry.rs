@@ -166,7 +166,6 @@ impl Telemetry {
                 series.push((at, value));
                 return;
             }
-            // simlint: allow(alloc-in-hot-path, first touch of a gauge name; every later sample takes the get_mut fast path above)
             s.series.insert(name.to_string(), vec![(at, value)]);
         });
     }

@@ -20,22 +20,23 @@
 //!   `w`; writers block while that cursor lags `w` or more steps behind
 //!   the seal frontier;
 //! * the **pause gate** — [`StepWriter::pause`] stops new fragments and
-//!   drains the sealed backlog through every attached cursor, with the
-//!   same typed-outcome contract as the staged channel
-//!   ([`datatap::PauseAborted`]): an abort by failure or close is an
-//!   error, never a success-shaped count, and the gate survives a racing
-//!   [`StepWriter::resume`] until the drain completes.
+//!   drains the sealed backlog through every attached cursor. This is the
+//!   repository's one writer-pause protocol, the consistency action of
+//!   the container decrease: an abort by failure or close is a typed
+//!   [`PauseAborted`], never a success-shaped count, and the gate
+//!   survives a racing [`StepWriter::resume`] until the drain completes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use adios::{AttrValue, StepData};
-use datatap::{Clock, PauseAborted, PullSource, StepMeta, WallClock};
+use datatap::{Clock, StepMeta, WallClock};
 use evpath::{Event, OverlaySender, StoneId};
-use parking_lot::{Condvar, Mutex};
 use sim_core::SimDuration;
 use simtel::{Category, Telemetry};
+
+use crate::sync::{Condvar, Mutex};
 
 /// Shape of a stream: the writer-group width and the log bounds.
 #[derive(Clone, Debug)]
@@ -103,6 +104,40 @@ impl std::fmt::Display for StreamWriteError {
 }
 
 impl std::error::Error for StreamWriteError {}
+
+/// Why a [`StepWriter::pause`] drain was aborted before every sealed step
+/// had been consumed. A decrease protocol that receives this must treat
+/// the drain as **failed** — steps may have been lost (`Failed`) or may
+/// still be in a log it can no longer observe (`Closed`) — instead of
+/// proceeding as if the stream quiesced cleanly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PauseAborted {
+    /// The engine closed mid-drain. `remaining` sealed steps were still
+    /// undelivered when the drain gave up (readers may still drain them,
+    /// but the pauser can no longer wait for it).
+    Closed {
+        /// Sealed steps still undelivered when the drain aborted.
+        remaining: usize,
+    },
+    /// The engine failed mid-drain (endpoint crash); every retained step
+    /// was discarded.
+    Failed(&'static str),
+}
+
+impl std::fmt::Display for PauseAborted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PauseAborted::Closed { remaining } => {
+                write!(f, "pause aborted: stream closed with {remaining} steps undrained")
+            }
+            PauseAborted::Failed(reason) => {
+                write!(f, "pause aborted: stream failed: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PauseAborted {}
 
 /// Where a cursor starts when a reader attaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,8 +258,8 @@ struct LogState {
     writer_handles: usize,
     paused: bool,
     /// Active pause drains; the write gate is held while non-zero even if
-    /// a concurrent resume cleared `paused` (same contract as the staged
-    /// channel).
+    /// a concurrent resume cleared `paused`: otherwise a resumed writer
+    /// could refill the log and stall the pauser indefinitely.
     drainers: usize,
     closed: bool,
     failed: Option<&'static str>,
@@ -645,7 +680,9 @@ impl StepWriter {
     /// [`StepWriter::resume`] — they were never visible to readers, so
     /// the drain guarantee concerns only announced (sealed) steps.
     ///
-    /// The outcome contract is the staged channel's: an abort is a typed
+    /// This is the consistency action the container decrease waits on
+    /// (the DES charges its cost as `datatap::TransportCosts::drain_time`
+    /// in Fig. 5). An abort is a typed
     /// [`PauseAborted`] — [`PauseAborted::Failed`] if the engine failed
     /// mid-drain (retained steps were discarded), [`PauseAborted::Closed`]
     /// if it was closed with steps still undelivered — never a
@@ -788,12 +825,6 @@ impl StreamReader {
     /// The failure reason, if the engine has failed.
     pub fn failure(&self) -> Option<&'static str> {
         self.inner.state.lock().failed
-    }
-
-    /// The engine's time source (deadlines for the timeout pulls live on
-    /// this axis).
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.inner.clock.clone()
     }
 
     /// Unregisters the cursor entirely, releasing its retention hold: the
@@ -957,23 +988,6 @@ impl StreamReader {
     pub fn try_next_step(&self) -> Option<Arc<GlobalStep>> {
         let mut st = self.inner.state.lock();
         self.take_step(&mut st)
-    }
-}
-
-/// Stream cursors plug into [`datatap::ScheduledReader`] like the staged
-/// channel's reader does, so one [`datatap::PullPolicy`] layer governs
-/// pulls from both transports.
-impl PullSource for StreamReader {
-    fn pull(&self) -> Option<(StepMeta, StepData)> {
-        StreamReader::pull(self)
-    }
-
-    fn pull_timeout(&self, timeout: Duration) -> Option<(StepMeta, StepData)> {
-        StreamReader::pull_timeout(self, timeout)
-    }
-
-    fn clock(&self) -> Arc<dyn Clock> {
-        StreamReader::clock(self)
     }
 }
 
@@ -1230,16 +1244,73 @@ mod tests {
     }
 
     #[test]
-    fn pause_aborted_by_close_reports_the_backlog() {
+    fn pause_on_an_already_failed_engine_aborts_immediately() {
         let eng = engine(1, 8);
         let w = eng.writer(0);
         let _r = eng.reader("sink", Attach::Oldest, None).unwrap();
+        w.try_write(frag(0, 0)).unwrap();
+        w.fail("power loss");
+        assert_eq!(w.pause(), Err(PauseAborted::Failed("power loss")));
+    }
+
+    #[test]
+    fn pause_aborted_by_close_reports_the_backlog() {
+        let eng = engine(1, 8);
+        let w = eng.writer(0);
+        let r = eng.reader("sink", Attach::Oldest, None).unwrap();
         w.try_write(frag(0, 0)).unwrap();
         w.try_write(frag(1, 0)).unwrap();
         let w2 = w.clone();
         let pauser = std::thread::spawn(move || w2.pause());
         eng.close();
         assert_eq!(pauser.join().unwrap(), Err(PauseAborted::Closed { remaining: 2 }));
+        // Readers can still drain the backlog the aborted pause reported.
+        assert_eq!(r.next_step().unwrap().index, 0);
+    }
+
+    #[test]
+    fn pause_after_clean_drain_still_succeeds_when_closed_late() {
+        let eng = engine(1, 8);
+        let w = eng.writer(0);
+        let r = eng.reader("sink", Attach::Oldest, None).unwrap();
+        w.try_write(frag(0, 0)).unwrap();
+        let w2 = w.clone();
+        let pauser = std::thread::spawn(move || w2.pause());
+        // Wait until the drain engages, so the receipt counts the sealed
+        // step; it cannot finish before we pull, so this spin ends.
+        while !w.is_paused() {
+            std::thread::yield_now();
+        }
+        assert_eq!(r.next_step().unwrap().index, 0);
+        assert_eq!(pauser.join().unwrap(), Ok(1));
+        // A close after the drain completed must not turn it into an abort.
+        eng.close();
+        assert_eq!(w.try_write(frag(1, 0)).unwrap_err(), StreamWriteError::Closed);
+    }
+
+    #[test]
+    fn resume_during_pause_cannot_reopen_the_write_gate() {
+        let eng = engine(1, 8);
+        let w = eng.writer(0);
+        let r = eng.reader("sink", Attach::Oldest, None).unwrap();
+        w.try_write(frag(0, 0)).unwrap();
+        let w2 = w.clone();
+        let pauser = std::thread::spawn(move || w2.pause());
+        while !w.is_paused() {
+            std::thread::yield_now();
+        }
+        // A resume racing the active drain clears the paused flag, but the
+        // gate holds until the drain completes: otherwise this write would
+        // refill the log and stall the pauser.
+        w.resume();
+        assert_eq!(w.try_write(frag(1, 0)).unwrap_err(), StreamWriteError::Paused);
+        assert!(w.is_paused(), "the stream is still quiescing");
+        assert_eq!(r.next_step().unwrap().index, 0);
+        assert_eq!(pauser.join().unwrap(), Ok(1));
+        // The resume already landed: the stream comes out writable.
+        assert!(!w.is_paused());
+        assert_eq!(w.try_write(frag(2, 0)).unwrap().step, 2);
+        assert_eq!(r.queued(), 1);
     }
 
     #[test]
@@ -1282,6 +1353,9 @@ mod tests {
         assert!(r.pull().is_none());
         assert_eq!(r.failure(), Some("node crash"));
         assert_eq!(w1.try_write(frag(1, 1)).unwrap_err(), StreamWriteError::Failed("node crash"));
+        assert_eq!(w1.write(frag(1, 1)).unwrap_err(), StreamWriteError::Failed("node crash"));
+        assert_eq!(w1.fail("again"), 0, "failing twice is idempotent");
+        assert_eq!(r.failure(), Some("node crash"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Integration tests of the N↔M streaming contract under real threads:
 //! a writer group redistributing fragments to several independent
-//! cursors, late joiners, a restarted reader rejoining mid-stream, the
-//! scheduled-pull policy layer over a stream cursor, and the control
-//! announcements on the event overlay.
+//! cursors, late joiners, a restarted reader rejoining mid-stream, and
+//! the control announcements on the event overlay.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,10 +10,9 @@ use std::thread;
 use std::time::Duration;
 
 use adios::{AttrValue, StepData};
-use datatap::{Clock, ManualClock, PullPolicy, ScheduledReader};
 use evpath::{Action, Overlay};
 use sim_core::SimTime;
-use stream::{Attach, StreamConfig, StreamControl, StreamEngine};
+use stream::{Attach, Clock, ManualClock, StreamConfig, StreamControl, StreamEngine};
 
 fn frag(step: u64, rank: u32) -> StepData {
     let mut s = StepData::new(step);
@@ -140,35 +138,6 @@ fn restarted_reader_rejoins_without_duplication_or_loss() {
     }
     writer.join().unwrap();
     assert_eq!(seen, (0..steps).collect::<Vec<_>>(), "no duplicate, no loss across the restart");
-}
-
-/// The scheduled-pull policy layer accepts a stream cursor wherever it
-/// accepts a staged-channel reader: concurrency limits and the clock both
-/// come through the [`datatap::PullSource`] seam.
-#[test]
-fn scheduled_reader_pulls_a_stream_cursor_under_policy() {
-    let clock = Arc::new(ManualClock::new());
-    let eng = StreamEngine::builder(StreamConfig { writers: 1, retention: 16 })
-        .clock(clock.clone())
-        .build();
-    let w = eng.writer(0);
-    for step in 0..4 {
-        w.try_write(frag(step, 0)).unwrap();
-    }
-
-    let cursor = eng.reader("viz", Attach::Oldest, None).unwrap();
-    let sched = ScheduledReader::new(cursor, PullPolicy::Scheduled { max_concurrent: 1 });
-
-    let (guard, meta, _) = sched.pull().expect("data is sealed");
-    assert_eq!(meta.step, 0);
-    assert_eq!(sched.in_flight(), 1);
-    // The single slot is taken: a timed pull must give up at its deadline
-    // on the injected clock, charging the wait virtually.
-    assert!(sched.pull_timeout(Duration::from_secs(2)).is_none());
-    assert_eq!(clock.now(), SimTime::from_secs(2));
-    drop(guard);
-    let (_, meta, _) = sched.pull().expect("slot free again");
-    assert_eq!(meta.step, 1);
 }
 
 /// Control-plane announcements reach the overlay: seals, attaches,

@@ -1,5 +1,6 @@
-//! Concurrency integration tests of the staged transport and the event
-//! overlay under real thread interleavings.
+//! Concurrency integration tests of the staged channel, the stream
+//! engine's writer pause and the event overlay under real thread
+//! interleavings.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -7,8 +8,9 @@ use std::thread;
 use std::time::Duration;
 
 use adios::{AttrValue, StepData};
-use datatap::{channel, WriteError};
+use datatap::channel;
 use evpath::{Action, Event, Overlay};
+use stream::{Attach, StreamConfig, StreamEngine, StreamWriteError};
 
 #[test]
 fn staged_channel_loses_nothing_under_contention() {
@@ -46,23 +48,44 @@ fn staged_channel_loses_nothing_under_contention() {
 
 #[test]
 fn pause_blocks_concurrent_writers_until_resume() {
-    let (w, r) = channel(4);
-    w.try_write(StepData::new(0)).unwrap();
+    // A four-rank writer group on one stream engine, one rank per thread.
+    let eng = StreamEngine::new(StreamConfig { writers: 4, retention: 4 });
+    let r = eng.reader("sink", Attach::Oldest, None).unwrap();
+    let group: Vec<_> = (0..4).map(|rank| eng.writer(rank)).collect();
+    for w in &group {
+        w.try_write(StepData::new(0)).unwrap();
+    }
 
-    // Pause drains in a helper thread while we pull.
-    let w_pause = w.clone();
+    // Pause drains in a helper thread while we pull. Wait until the drain
+    // engages, so the receipt counts the sealed step; it cannot finish
+    // before we pull, so this spin ends.
+    let w_pause = group[0].clone();
     let pauser = thread::spawn(move || w_pause.pause());
-    thread::sleep(Duration::from_millis(10));
-    r.pull().unwrap();
+    while !group[0].is_paused() {
+        thread::yield_now();
+    }
+    assert_eq!(r.next_step().unwrap().index, 0);
     assert_eq!(pauser.join().unwrap(), Ok(1));
 
-    // All writers now see Paused.
-    assert_eq!(w.try_write(StepData::new(1)).unwrap_err(), WriteError::Paused);
-    let w2 = w.clone();
-    let blocked = thread::spawn(move || w2.write(StepData::new(2)).map(|m| m.step));
+    // The pause gates the whole group: every rank now sees Paused, and a
+    // blocking write on each rank's thread waits for the resume.
+    for w in &group {
+        assert_eq!(w.try_write(StepData::new(1)).unwrap_err(), StreamWriteError::Paused);
+    }
+    let blocked: Vec<_> = group
+        .iter()
+        .map(|w| {
+            let w = w.clone();
+            thread::spawn(move || w.write(StepData::new(1)).map(|m| m.step))
+        })
+        .collect();
     thread::sleep(Duration::from_millis(10));
-    w.resume();
-    assert_eq!(blocked.join().unwrap().unwrap(), 2);
+    assert!(blocked.iter().all(|h| !h.is_finished()), "writers must block while paused");
+    group[0].resume();
+    for h in blocked {
+        assert_eq!(h.join().unwrap().unwrap(), 1);
+    }
+    assert_eq!(r.next_step().unwrap().index, 1, "every rank's fragment landed");
 }
 
 #[test]

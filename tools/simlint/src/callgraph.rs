@@ -54,7 +54,6 @@ pub const DEFAULT_HOT_ROOTS: &[&str] = &[
     "datatap::Writer::write",
     "datatap::Writer::try_write",
     "datatap::Reader::pull",
-    "datatap::Reader::pull_checked",
     "datatap::Reader::pull_timeout",
     "datatap::Reader::try_pull",
     "datatap::Reader::peek_meta",

@@ -113,7 +113,6 @@ fn workspace_is_clean_and_escapes_all_earn_their_keep() {
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 1),
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
         ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
-        ("crates/simtel/src/telemetry.rs", "alloc-in-hot-path", 2),
         ("crates/stream/tests/stream_integration.rs", "wall-clock", 1),
     ]
     .into_iter()
